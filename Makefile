@@ -31,9 +31,9 @@ COVER_FLOOR ?= 80
 PROFILE_BENCH ?= BenchmarkTrackerObserve
 PROFILE_TIME ?= 2s
 
-.PHONY: verify build test lint detlint detlint-json race cover bench bench-smoke bench-json bench-diff profile loadtest loadtest-evict loadtest-follow loadtest-query fault-log clean ci
+.PHONY: verify build test lint detlint detlint-json race stress cover bench bench-smoke bench-json bench-diff profile loadtest loadtest-evict loadtest-follow loadtest-query fault-log clean ci
 
-ci: verify lint race cover bench-smoke loadtest loadtest-evict loadtest-follow loadtest-query fault-log ## everything .github/workflows/ci.yml runs
+ci: verify lint race stress cover bench-smoke loadtest loadtest-evict loadtest-follow loadtest-query fault-log ## everything .github/workflows/ci.yml runs
 
 verify: build test ## tier-1: go build ./... && go test ./...
 
@@ -62,6 +62,12 @@ detlint-json: ## detlint findings as detlint.json (CI artifact); still exits non
 
 race: ## race-detector pass over the whole module
 	$(GO) test -race ./...
+
+# The concurrent packages again under the race detector, repeated at
+# several GOMAXPROCS values: a test that only passes under one scheduling
+# fails here instead of on the next machine.
+stress: ## race-detector pass over the concurrent packages, 3 runs at -cpu=1,2,4
+	$(GO) test -race -count=3 -cpu=1,2,4 ./internal/stream/ ./internal/serve/ ./cmd/attritiond/
 
 cover: ## module-wide coverage profile with a total-coverage floor
 	$(GO) test -coverprofile=$(COVER_PROFILE) ./...

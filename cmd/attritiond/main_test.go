@@ -139,10 +139,18 @@ func TestDaemonSignalShutdown(t *testing.T) {
 }
 
 func TestRunBadAddr(t *testing.T) {
-	if err := run([]string{"-addr", "256.0.0.1:http"}, os.NewFile(0, os.DevNull)); err == nil {
+	// A real /dev/null handle: wrapping fd 0 with os.NewFile would let the
+	// wrapper's finalizer close whatever file or socket reuses fd 0 later
+	// in the test binary.
+	devNull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer devNull.Close()
+	if err := run([]string{"-addr", "256.0.0.1:http"}, devNull); err == nil {
 		t.Error("run accepted an unbindable address")
 	}
-	if err := run([]string{"-origin", "nope"}, os.NewFile(0, os.DevNull)); err == nil {
+	if err := run([]string{"-origin", "nope"}, devNull); err == nil {
 		t.Error("run accepted a bad origin")
 	}
 }

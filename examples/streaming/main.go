@@ -99,26 +99,7 @@ func main() {
 		}
 	}
 
-	// ingest replays a feed slice, advancing the watermark at each window
-	// boundary: the CloseThrough barrier drains every shard, scores
-	// customers silent for a whole window (their silence is the signal),
-	// and surfaces any ingest error from the batch.
-	lastK := 0
-	ingest := func(feed []event) {
-		for _, ev := range feed {
-			if k := grid.Index(ev.r.Time); k > lastK {
-				alerts, err := monitor.CloseThrough(k - 1)
-				if err != nil {
-					log.Fatal(err)
-				}
-				handle(alerts)
-				lastK = k
-			}
-			if err := monitor.Ingest(ev.id, ev.r.Time, ev.r.Items); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
+	live := &replay{monitor: monitor, grid: grid, handle: handle}
 
 	// Phase 1: replay the base horizon as a live feed.
 	base, err := ds.Store.DeltaSince(nil)
@@ -128,7 +109,7 @@ func main() {
 	baseFeed := feedOf(base)
 	fmt.Printf("replaying %d receipts from %d customers as a live feed across %d shards\n\n",
 		len(baseFeed), cfg.Customers, monitor.Shards())
-	ingest(baseFeed)
+	live.feed(baseFeed)
 
 	// Phase 2: the dataset keeps growing underneath the monitor. Each
 	// month, the simulation resumes from its checkpoint (bit-identical to
@@ -145,28 +126,17 @@ func main() {
 		}
 		newFeed := feedOf(delta)
 		fmt.Printf("-- month %d appended: %d new receipts\n", ds.Config.Months, len(newFeed))
-		ingest(newFeed)
+		live.feed(newFeed)
 	}
 
 	// Close every window the final horizon covers.
 	finalK := grid.Index(ds.Config.End().AddDate(0, 0, -1))
-	alerts, err := monitor.CloseThrough(finalK)
-	if err != nil {
-		log.Fatal(err)
-	}
-	handle(alerts)
-	var incremental bytes.Buffer
-	if err := monitor.WriteSnapshot(&incremental); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := monitor.Close(); err != nil {
-		log.Fatal(err)
-	}
+	incremental := live.finish(finalK)
 
 	// Cross-check: a batch replay of the final store through a fresh
 	// monitor must land in exactly the same state.
 	batchSnap, batchAlerts := batchReplay(monitorCfg, grid, ds, finalK)
-	if !bytes.Equal(incremental.Bytes(), batchSnap) {
+	if !bytes.Equal(incremental, batchSnap) {
 		log.Fatal("incremental replay snapshot diverged from batch replay of the final store")
 	}
 	if alertsTotal != batchAlerts {
@@ -182,6 +152,51 @@ func main() {
 		alertsTotal, trueAlerts, 100*float64(trueAlerts)/float64(alertsTotal))
 }
 
+// replay feeds events to a monitor, advancing the watermark at each window
+// boundary: the CloseThrough barrier scores customers silent for a whole
+// window (their silence is the signal) and surfaces any ingest error from
+// the batch. Every barrier's alerts go to handle.
+type replay struct {
+	monitor *stability.ShardedMonitor
+	grid    stability.Grid
+	lastK   int
+	handle  func([]stability.Alert)
+}
+
+func (r *replay) feed(events []event) {
+	for _, ev := range events {
+		if k := r.grid.Index(ev.r.Time); k > r.lastK {
+			r.closeThrough(k - 1)
+			r.lastK = k
+		}
+		if err := r.monitor.Ingest(ev.id, ev.r.Time, ev.r.Items); err != nil {
+			log.Fatal(err)
+		}
+	}
+}
+
+func (r *replay) closeThrough(k int) {
+	alerts, err := r.monitor.CloseThrough(k)
+	if err != nil {
+		log.Fatal(err)
+	}
+	r.handle(alerts)
+}
+
+// finish closes every window through finalK, closes the monitor, and
+// returns its snapshot bytes.
+func (r *replay) finish(finalK int) []byte {
+	r.closeThrough(finalK)
+	var snap bytes.Buffer
+	if err := r.monitor.WriteSnapshot(&snap); err != nil {
+		log.Fatal(err)
+	}
+	if _, err := r.monitor.Close(); err != nil {
+		log.Fatal(err)
+	}
+	return snap.Bytes()
+}
+
 // batchReplay feeds the complete final store through a fresh monitor in
 // one pass and returns its snapshot bytes and alert count.
 func batchReplay(cfg stability.MonitorConfig, grid stability.Grid, ds *stability.SampleDataset, finalK int) ([]byte, int) {
@@ -194,31 +209,7 @@ func batchReplay(cfg stability.MonitorConfig, grid stability.Grid, ds *stability
 		log.Fatal(err)
 	}
 	count := 0
-	lastK := 0
-	for _, ev := range feedOf(all) {
-		if k := grid.Index(ev.r.Time); k > lastK {
-			alerts, err := monitor.CloseThrough(k - 1)
-			if err != nil {
-				log.Fatal(err)
-			}
-			count += len(alerts)
-			lastK = k
-		}
-		if err := monitor.Ingest(ev.id, ev.r.Time, ev.r.Items); err != nil {
-			log.Fatal(err)
-		}
-	}
-	alerts, err := monitor.CloseThrough(finalK)
-	if err != nil {
-		log.Fatal(err)
-	}
-	count += len(alerts)
-	var snap bytes.Buffer
-	if err := monitor.WriteSnapshot(&snap); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := monitor.Close(); err != nil {
-		log.Fatal(err)
-	}
-	return snap.Bytes(), count
+	r := &replay{monitor: monitor, grid: grid, handle: func(alerts []stability.Alert) { count += len(alerts) }}
+	r.feed(feedOf(all))
+	return r.finish(finalK), count
 }

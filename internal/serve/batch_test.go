@@ -55,7 +55,15 @@ func TestServerStabilityBatchDifferential(t *testing.T) {
 			if code := postReceipts(t, ts.URL, feed, nil); code != http.StatusOK {
 				t.Fatalf("POST receipts: status %d", code)
 			}
-			waitWatermark(t, s, 1)
+			// Wait for a full drain: every receipt ingested, the queue
+			// empty, and the watermark at the final closable window. Only
+			// then is the monitor state final, so the batch and the single
+			// reads below see the same answers.
+			finalK := testGrid(t).Index(feed[len(feed)-1].Time)
+			waitServe(t, "a full drain", func() bool {
+				m := s.Ingestor().Metrics()
+				return m.ReceiptsIngested == uint64(len(feed)) && m.QueueDepth == 0 && m.Watermark == finalK
+			})
 
 			// Every customer in the feed — scored or not — plus ids the
 			// daemon has never seen, interleaved so shard fan-in and

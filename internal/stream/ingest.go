@@ -1,14 +1,16 @@
 // Serving-path ingestion: an Ingestor puts a bounded queue with an explicit
 // overflow policy in front of a ShardedMonitor, so a serving layer (HTTP
 // handlers, replication appliers, …) can feed the monitor from many
-// producers without unbounded buffering when a slow shard stalls the feed.
+// producers without unbounded buffering when ingestion falls behind (a
+// long close barrier, a slow snapshot save).
 //
 // One drainer goroutine owns the queue→monitor hand-off. It preserves the
-// queue's FIFO order, advances the window watermark as receipt months
-// advance (closing every window that provably ended, exactly the
-// `attrition monitor -state` rule: a stream can never prove the month of
-// its newest receipt complete), and appends every barrier's alerts to an
-// in-memory sequence-numbered log that long-poll and SSE consumers read.
+// queue's FIFO order, ingests each receipt synchronously, advances the
+// window watermark as receipt windows advance (closing every window that
+// provably ended, exactly the `attrition monitor -state` rule: a stream can
+// never prove the window of its newest receipt complete), and appends every
+// barrier's alerts to an in-memory sequence-numbered log that long-poll and
+// SSE consumers read.
 // Because barriers fire at deterministic positions in the receipt stream —
 // not on wall-clock — the alert log contents are a pure function of the
 // accepted receipt sequence; the equivalence with a sequential Monitor
@@ -42,7 +44,7 @@ type OverflowPolicy int
 
 const (
 	// PolicyBlock blocks the producer until queue space frees up. Lossless;
-	// a stalled shard propagates pressure all the way to producers.
+	// a stalled drainer propagates pressure all the way to producers.
 	PolicyBlock OverflowPolicy = iota
 	// PolicyShed drops the offered batch and counts it. Producers never
 	// stall; the monitor sees a gap (shed receipts are gone for good).
@@ -117,8 +119,9 @@ type IngestorConfig struct {
 	// Monitor configures the wrapped sharded monitor (grid, model, β,
 	// warm-up) exactly as for NewSharded.
 	Monitor Config
-	// Shards is the shard count; <= 0 means GOMAXPROCS. Operational knob:
-	// results are identical at every shard count.
+	// Shards is the shard count, and so the close-barrier parallelism;
+	// <= 0 means GOMAXPROCS. Operational knob: results are identical at
+	// every shard count.
 	Shards int
 	// QueueBatches bounds the ingestion queue, counted in enqueued batches;
 	// <= 0 means 64. When the queue is full, Policy decides.
@@ -138,7 +141,7 @@ type IngestorConfig struct {
 	// periodic saver (Close still persists). Ignored when StatePath is "".
 	SaveInterval time.Duration
 	// FlushInterval is the period of liveness Flush barriers, which deliver
-	// ingest-time alerts buffered inside shards to the alert log between
+	// ingest-time alerts buffered inside the monitor to the alert log between
 	// window closes. 0 disables them. For a time-ordered feed every alert
 	// is raised at a window-close barrier, so flushes change nothing; for
 	// out-of-order feeds they only affect when alerts become visible,
@@ -248,9 +251,10 @@ type IngestorMetrics struct {
 	// Watermark is the lowest window index not yet closed; receipts for
 	// earlier windows are stale.
 	Watermark int `json:"watermark"`
-	// Saves and SaveErrors count background + final snapshot attempts.
-	// Every attempt increments Saves; every failed attempt (including
-	// in-cycle retries) increments SaveErrors.
+	// Saves and SaveErrors count background + final snapshot attempts,
+	// once each attempt has finished. Every attempt increments Saves;
+	// every failed attempt (including in-cycle retries) increments
+	// SaveErrors.
 	Saves      uint64 `json:"saves"`
 	SaveErrors uint64 `json:"save_errors"`
 	// SaveRetries counts in-cycle retries of failed snapshot writes.
@@ -297,15 +301,15 @@ type IngestorMetrics struct {
 // receipts within one batch are ingested in slice order. Stop producers
 // before Close, exactly as for ShardedMonitor.
 type Ingestor struct {
-	cfg  IngestorConfig
-	grid gridInfo
+	cfg IngestorConfig
 
 	// monMu guards mon and evictedBase against the follower-resync swap:
 	// the drainer replaces a resyncing monitor under the write lock while
 	// concurrent readers (Stability, Customers, Metrics, WriteSnapshot)
-	// hold the read lock for the duration of their call, so no reader can
-	// touch a monitor whose shard goroutines have been stopped. Outside
-	// follow mode the lock is never contended.
+	// hold the read lock for the duration of their call, so no reader sees
+	// the pointer change mid-call or reads the retired monitor's counts.
+	// The drainer, the only writer of mon, reads it without the lock.
+	// Outside follow mode the lock is never write-locked.
 	monMu sync.RWMutex
 	mon   *ShardedMonitor
 	// evictedBase carries eviction counts across resync monitor swaps.
@@ -322,9 +326,7 @@ type Ingestor struct {
 	compactTick *time.Ticker
 	followTick  *time.Ticker
 
-	// Drainer-owned watermark state: maxMonth is the largest receipt month
-	// seen, lastClosedK the highest barrier-closed window.
-	maxMonth    int
+	// lastClosedK is the drainer-owned highest barrier-closed window.
 	lastClosedK int
 	// suppressK drops alerts for windows at or below it from the delivery
 	// log: after a follow-mode resync (or restart) the replay re-raises
@@ -381,12 +383,6 @@ type Ingestor struct {
 	changed chan struct{}
 }
 
-// gridInfo caches the grid lookups the drainer needs per receipt.
-type gridInfo struct {
-	origin time.Time
-	span   int
-}
-
 // NewIngestor validates cfg, restores SMN1 state from cfg.StatePath when
 // the file exists, and starts the drainer (and any configured tickers).
 func NewIngestor(cfg IngestorConfig) (*Ingestor, error) {
@@ -401,12 +397,10 @@ func NewIngestor(cfg IngestorConfig) (*Ingestor, error) {
 	i := &Ingestor{
 		cfg:          cfg,
 		mon:          mon,
-		grid:         gridInfo{origin: cfg.Monitor.Grid.Origin(), span: cfg.Monitor.Grid.Span().Months},
 		queue:        make(chan []ReceiptEvent, cfg.QueueBatches),
 		stop:         make(chan struct{}),
 		pauseReq:     make(chan chan struct{}),
 		drainDone:    make(chan struct{}),
-		maxMonth:     math.MinInt / 2,
 		lastClosedK:  -1,
 		suppressK:    math.MinInt / 2,
 		journalTrunc: -1,
@@ -528,7 +522,7 @@ func (i *Ingestor) Enqueue(batch []ReceiptEvent) (bool, error) {
 }
 
 // drain is the single queue consumer: it feeds the monitor in queue order,
-// fires watermark barriers as receipt months advance, and services pause
+// fires watermark barriers as receipt windows advance, and services pause
 // requests and tickers. nil ticker channels block forever, so disabled
 // tickers cost nothing.
 func (i *Ingestor) drain(flushC, saveC, ttlC, compactC, followC <-chan time.Time) {
@@ -564,20 +558,15 @@ func (i *Ingestor) drain(flushC, saveC, ttlC, compactC, followC <-chan time.Time
 	}
 }
 
-// process ingests one batch. When a receipt's month advances past every
-// month seen so far, every window that ended at or before that month's
-// start is provably complete — the conservative `monitor -state` rule — so
-// a CloseThrough barrier fires before the receipt is ingested.
+// process ingests one batch. A receipt in window k proves every window
+// before k complete — the conservative `monitor -state` rule — so when k-1
+// is past the last closed window, a CloseThrough(k-1) barrier fires before
+// the receipt is ingested. The barrier positions are a pure function of
+// the receipt sequence.
 func (i *Ingestor) process(batch []ReceiptEvent) {
 	for _, ev := range batch {
-		if m := i.monthIndex(ev.Time); m > i.maxMonth {
-			i.maxMonth = m
-			// closeK is the last window ending at or before the start of
-			// month m. Guarding on lastClosedK makes the barrier positions
-			// a pure function of the receipt sequence.
-			if closeK := i.windowOfMonth(m) - 1; closeK > i.lastClosedK {
-				i.closeBarrier(closeK)
-			}
+		if k := i.cfg.Monitor.Grid.Index(ev.Time); k-1 > i.lastClosedK {
+			i.closeBarrier(k - 1)
 		}
 		if err := i.mon.Ingest(ev.Customer, ev.Time, ev.Items); err != nil {
 			// Only ErrClosed is synchronous, and Close stops this drainer
@@ -589,23 +578,6 @@ func (i *Ingestor) process(batch []ReceiptEvent) {
 		i.receipts.Add(1)
 	}
 	i.batches.Add(1)
-}
-
-// monthIndex returns the month index of t from the grid origin, in UTC
-// like Grid.MonthIndex — the barrier positions must agree with Grid.Index
-// or the drainer and the HTTP stale filter would disagree on offset-bearing
-// timestamps.
-func (i *Ingestor) monthIndex(t time.Time) int {
-	t = t.UTC()
-	return (t.Year()-i.grid.origin.Year())*12 + int(t.Month()) - int(i.grid.origin.Month())
-}
-
-// windowOfMonth returns the grid index of the window containing month m.
-func (i *Ingestor) windowOfMonth(m int) int {
-	if m >= 0 {
-		return m / i.grid.span
-	}
-	return -((-m + i.grid.span - 1) / i.grid.span)
 }
 
 // closeBarrier force-closes windows through k and publishes the alerts.
@@ -643,8 +615,7 @@ func (i *Ingestor) evictSweep() {
 	i.publish(alerts)
 }
 
-// flushBarrier delivers shard-buffered ingest alerts without closing
-// windows.
+// flushBarrier delivers buffered ingest alerts without closing windows.
 func (i *Ingestor) flushBarrier() {
 	alerts, err := i.mon.Flush()
 	if err != nil {
@@ -747,18 +718,17 @@ func (i *Ingestor) Resume() {
 	}
 }
 
-// Stability returns the customer's last scored stability, synchronized
-// with the owning shard (it reflects every receipt already handed to the
-// monitor, not receipts still queued).
+// Stability returns the customer's last scored stability (it reflects
+// every receipt already handed to the monitor, not receipts still queued).
 func (i *Ingestor) Stability(id retail.CustomerID) (value float64, gridIndex int, ok bool) {
 	i.monMu.RLock()
 	defer i.monMu.RUnlock()
 	return i.mon.Stability(id)
 }
 
-// Stabilities answers a batch of stability queries under one monitor-lock
-// acquisition, fanning per-shard inside the monitor — where N Stability
-// calls pay N lock round trips, a batch pays one. Row i is exactly what
+// Stabilities answers a batch of stability queries under one read lock of
+// the ingestor and one of the monitor — where N Stability calls pay N lock
+// round trips, a batch pays one. Row i is exactly what
 // Stability(ids[i]) would return; dst is reused as in
 // ShardedMonitor.Stabilities.
 func (i *Ingestor) Stabilities(ids []retail.CustomerID, dst []CustomerStability) []CustomerStability {
@@ -817,7 +787,7 @@ func (i *Ingestor) alertsEmitted() uint64 {
 	return i.nextSeq - 1
 }
 
-// saveAttempt makes one snapshot attempt: flush shard-buffered alerts to
+// saveAttempt makes one snapshot attempt: flush buffered ingest alerts to
 // the log (so a crash after the save loses only alerts never delivered to
 // any consumer), pending journal receipts to disk, then write the SMN1
 // state atomically (tmp + rename). Called from the drainer's retrying
@@ -826,16 +796,23 @@ func (i *Ingestor) saveAttempt() bool {
 	if i.cfg.StatePath == "" {
 		return true
 	}
-	if !i.mon.closed.Load() {
+	if !i.mon.isClosed() {
 		i.flushBarrier()
 	}
 	i.journalFlush()
-	i.saves.Add(1)
-	if err := i.writeStateFile(); err != nil {
+	return i.saveState() == nil
+}
+
+// saveState writes the state file and counts the attempt once it has
+// finished, failure first: a reader that sees Saves move also sees the
+// attempt's outcome.
+func (i *Ingestor) saveState() error {
+	err := i.writeStateFile()
+	if err != nil {
 		i.saveErrs.Add(1)
-		return false
 	}
-	return true
+	i.saves.Add(1)
+	return err
 }
 
 func (i *Ingestor) writeStateFile() error {
@@ -865,10 +842,12 @@ func (i *Ingestor) writeStateFile() error {
 // Close. Windows past the watermark stay open in the snapshot — their
 // pending baskets persist — so a restored ingestor resumes losslessly.
 func (i *Ingestor) WriteSnapshot(w io.Writer) error {
+	i.monMu.RLock()
+	defer i.monMu.RUnlock()
 	return i.mon.WriteSnapshot(w)
 }
 
-// Close drains the queue, delivers every shard-buffered alert, persists
+// Close drains the queue, delivers every buffered ingest alert, persists
 // the final SMN1 snapshot when StatePath is set, and stops the monitor.
 // Close never force-closes windows past the watermark: more data may
 // follow in the newest month, so pending windows persist open — restoring
@@ -893,11 +872,7 @@ func (i *Ingestor) Close() error {
 	i.publish(alerts)
 	i.journalFlush()
 	if i.cfg.StatePath != "" {
-		i.saves.Add(1)
-		if err := i.writeStateFile(); err != nil {
-			i.saveErrs.Add(1)
-			return err
-		}
+		return i.saveState()
 	}
 	return nil
 }

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	iofs "io/fs"
-	"math"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -324,7 +323,7 @@ func (i *Ingestor) followPoll() {
 // processFollowBatch turns one polled store delta into the event feed:
 // receipts in already-closed windows are skipped (exactly the `monitor
 // -follow` staleness rule), the rest are stably time-sorted and handed to
-// the standard process loop, whose month-advance barriers implement the
+// the standard process loop, whose window-advance barriers implement the
 // conservative close rule. Store.Each iterates customers in ascending id
 // order with chronological receipts per customer, so equal timestamps
 // break ties by customer id — the same total order a sequential replay of
@@ -334,7 +333,7 @@ func (i *Ingestor) processFollowBatch(s *store.Store) {
 	var evs []ReceiptEvent
 	s.Each(func(h retail.History) bool {
 		for _, r := range h.Receipts {
-			if r.Time.Before(i.grid.origin) || i.windowOfMonth(i.monthIndex(r.Time)) < minK {
+			if r.Time.Before(i.cfg.Monitor.Grid.Origin()) || i.cfg.Monitor.Grid.Index(r.Time) < minK {
 				continue
 			}
 			evs = append(evs, ReceiptEvent{Customer: h.Customer, Time: r.Time, Items: r.Items})
@@ -376,7 +375,6 @@ func (i *Ingestor) resyncFollower() {
 	i.monMu.Unlock()
 	i.publish(alerts)
 	i.follower = store.NewFollower(i.cfg.FS, i.cfg.FollowPath)
-	i.maxMonth = math.MinInt / 2
 	i.lastClosedK = -1
 }
 
@@ -397,6 +395,5 @@ func (i *Ingestor) restartFollowReplay() error {
 	old.Close()
 	i.suppressK = i.lastClosedK
 	i.lastClosedK = -1
-	i.maxMonth = math.MinInt / 2
 	return nil
 }

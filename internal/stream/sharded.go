@@ -1,147 +1,76 @@
-// Sharded ingestion: a ShardedMonitor fans receipts across N single-threaded
-// shard Monitors by customer hash, so the online path scales with cores while
-// keeping every guarantee of the sequential monitor. Each customer maps to
-// exactly one shard (FNV-1a over the id), each shard is driven by its own
-// goroutine over a bounded FIFO channel, so per-customer receipt order is
-// preserved and per-customer results are bit-identical to the single-threaded
-// Monitor at every shard count.
+// Sharded ingestion: a ShardedMonitor partitions customers across N
+// single-threaded shard Monitors by customer hash (FNV-1a over the id) and
+// guards them with one lock. Customers are scored independently, so the
+// only work worth spreading over cores is the window-close barrier, where
+// every tracked customer is scored at once; between barriers, ingesting a
+// receipt is a basket union. Ingest therefore runs synchronously on the
+// caller under the write lock, and the barriers (CloseThrough, EvictIdle)
+// fan the shards out through population.Map. Per-customer results are
+// bit-identical to the single-threaded Monitor at every shard count.
 //
-// Alerts cannot be returned synchronously from an asynchronous Ingest, so they
-// accumulate per shard and are delivered at barriers — Flush, CloseThrough,
-// Close — merged in a canonical order (grid index, then customer id). Because
-// the alert set is shard-count independent and the merge order is total, the
-// delivered batches are byte-identical for any shard count, including the
-// single-threaded Monitor's sorted output; the equivalence is property-tested.
+// Ingest-time alerts are buffered and delivered at barriers — Flush,
+// CloseThrough, EvictIdle, Close — merged in a canonical order (grid index,
+// then customer id). Because the alert set is shard-count independent and
+// the merge order is total, the delivered batches are byte-identical for
+// any shard count, including the single-threaded Monitor's sorted output;
+// the equivalence is property-tested.
 //
-// Errors follow the same discipline as internal/population: each Ingest call
-// is stamped with a feed sequence number, each shard remembers the
-// lowest-sequence error since the last barrier, and the barrier reports the
-// error with the lowest sequence across shards — for a sequential feed that
-// is deterministically the first bad receipt, regardless of shard count.
+// Errors are buffered the same way: the first ingest error since the last
+// barrier is reported by that barrier. Ingest calls are serialized by the
+// lock, so for a sequential feed that is deterministically the first bad
+// receipt, regardless of shard count.
 package stream
 
 import (
 	"errors"
 	"io"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"github.com/gautrais/stability/internal/population"
 	"github.com/gautrais/stability/internal/retail"
 )
 
 // ErrClosed is returned by operations on a ShardedMonitor after Close.
 var ErrClosed = errors.New("stream: sharded monitor is closed")
 
-// shardChanCap bounds each shard's ingest channel. A full channel applies
-// backpressure to producers rather than buffering without limit.
-const shardChanCap = 512
-
-// shardMsg is one unit of work on a shard channel: a receipt (ctl nil), a
-// control closure run on the shard goroutine with exclusive access to the
-// shard's state, or a stop signal.
-type shardMsg struct {
-	id    retail.CustomerID
-	t     time.Time
-	items retail.Basket
-	seq   uint64
-	ctl   func()
-	stop  bool
-}
-
-// shard pairs one single-threaded Monitor with its feed channel. All fields
-// besides ch are owned by the shard goroutine; other goroutines reach them
-// only through ctl closures (or after the goroutine has exited).
-type shard struct {
-	mon *Monitor
-	ch  chan shardMsg
-	// alerts buffers ingest-time alerts until the next barrier.
-	alerts []Alert
-	// firstErr/errSeq track the lowest-sequence ingest error since the last
-	// barrier.
-	firstErr error
-	errSeq   uint64
-}
-
-func (sh *shard) run(done *sync.WaitGroup) {
-	defer done.Done()
-	for msg := range sh.ch {
-		switch {
-		case msg.stop:
-			return
-		case msg.ctl != nil:
-			msg.ctl()
-		default:
-			alerts, err := sh.mon.Ingest(msg.id, msg.t, msg.items)
-			sh.alerts = append(sh.alerts, alerts...)
-			if err != nil && (sh.firstErr == nil || msg.seq < sh.errSeq) {
-				sh.firstErr, sh.errSeq = err, msg.seq
-			}
-		}
-	}
-}
-
 // ShardedMonitor is the parallel ingestion engine: hash-partitioned shard
-// Monitors behind a fan-in Ingest. Ingest is safe for concurrent use by
-// multiple producers; per-customer receipt order is preserved for receipts
-// whose Ingest calls are ordered (a single producer, or external
-// synchronization). Alerts are delivered at Flush/CloseThrough/Close
-// barriers in (grid index, customer id) order.
-//
-// Close must not run concurrently with other calls; stop all producers
-// first. The other methods may be used concurrently with each other.
+// Monitors behind one lock, with barriers fanned out across the shards.
+// Every method is safe for concurrent use; per-customer receipt order is
+// preserved for receipts whose Ingest calls are ordered (a single producer,
+// or external synchronization). Alerts are delivered at
+// Flush/CloseThrough/EvictIdle/Close barriers in (grid index, customer id)
+// order. Read-only accessors keep working after Close.
 type ShardedMonitor struct {
-	cfg    Config
-	shards []*shard
-	seq    atomic.Uint64
-	closed atomic.Bool
-	done   sync.WaitGroup
-	// snapMu serializes WriteSnapshot's stop-the-world pause: two
-	// interleaved pauses could each park a different shard first and wait
-	// on each other forever.
-	snapMu sync.Mutex
+	cfg Config
+	// mu guards everything below. Ingest and the barriers hold it
+	// exclusively; the read-only accessors share it.
+	mu     sync.RWMutex
+	shards []*Monitor
+	// alerts buffers ingest-time alerts until the next barrier; err is the
+	// first ingest error since the last barrier.
+	alerts []Alert
+	err    error
+	closed bool
 }
 
-// NewSharded validates cfg and returns a running sharded monitor. shards <= 0
-// means GOMAXPROCS. Shard count is an operational knob like a worker count:
-// it affects throughput only, never results or snapshots.
+// NewSharded validates cfg and returns an empty sharded monitor. shards <= 0
+// means GOMAXPROCS. The shard count sets the barrier parallelism; like a
+// worker count, it affects throughput only, never results or snapshots.
 func NewSharded(cfg Config, shards int) (*ShardedMonitor, error) {
-	s, err := newSharded(cfg, shards)
-	if err != nil {
-		return nil, err
-	}
-	s.start()
-	return s, nil
-}
-
-// newSharded builds the monitor without starting shard goroutines, so the
-// snapshot-restore path can populate shard states race-free first.
-func newSharded(cfg Config, shards int) (*ShardedMonitor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	s := &ShardedMonitor{cfg: cfg, shards: make([]*shard, shards)}
+	s := &ShardedMonitor{cfg: cfg, shards: make([]*Monitor, shards)}
 	for i := range s.shards {
-		mon, err := New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		s.shards[i] = &shard{mon: mon, ch: make(chan shardMsg, shardChanCap)}
+		s.shards[i] = &Monitor{cfg: cfg, states: make(map[retail.CustomerID]*custState)}
 	}
 	return s, nil
-}
-
-func (s *ShardedMonitor) start() {
-	for _, sh := range s.shards {
-		s.done.Add(1)
-		go sh.run(&s.done)
-	}
 }
 
 // FNV-1a 64-bit over the customer id's 8 little-endian bytes.
@@ -161,57 +90,48 @@ func shardIndex(id retail.CustomerID, n int) int {
 	return int(h % uint64(n))
 }
 
+// shard returns the Monitor owning the customer.
+func (s *ShardedMonitor) shard(id retail.CustomerID) *Monitor {
+	return s.shards[shardIndex(id, len(s.shards))]
+}
+
 // Shards returns the shard count.
 func (s *ShardedMonitor) Shards() int { return len(s.shards) }
 
-// Ingest enqueues one receipt on its customer's shard. Receipts must arrive
-// in non-decreasing window order per customer, exactly as for Monitor.Ingest;
+// Ingest feeds one receipt to its customer's shard. Receipts must arrive in
+// non-decreasing window order per customer, exactly as for Monitor.Ingest;
 // a violation surfaces as an ErrStale-wrapped error at the next barrier.
-// Ingest blocks when the shard's channel is full (backpressure). The basket
-// must not be mutated by the caller after Ingest returns.
+// The basket is not retained.
 func (s *ShardedMonitor) Ingest(id retail.CustomerID, t time.Time, items retail.Basket) error {
-	if s.closed.Load() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
 		return ErrClosed
 	}
-	s.shards[shardIndex(id, len(s.shards))].ch <- shardMsg{
-		id: id, t: t, items: items, seq: s.seq.Add(1),
+	alerts, err := s.shard(id).Ingest(id, t, items)
+	s.alerts = append(s.alerts, alerts...)
+	if err != nil && s.err == nil {
+		s.err = err
 	}
 	return nil
 }
 
-// barrier drains every shard (channel FIFO guarantees all previously
-// enqueued receipts are processed first), runs fn on each shard goroutine,
-// and merges the collected alerts into (grid index, customer id) order.
-// The reported error is the lowest-sequence ingest error across shards since
-// the last barrier; reporting clears it.
-func (s *ShardedMonitor) barrier(fn func(sh *shard) []Alert) ([]Alert, error) {
-	type out struct {
-		alerts []Alert
-		err    error
-		seq    uint64
-	}
-	outs := make([]out, len(s.shards))
-	var wg sync.WaitGroup
-	for i, sh := range s.shards {
-		i, sh := i, sh
-		wg.Add(1)
-		sh.ch <- shardMsg{ctl: func() {
-			defer wg.Done()
-			outs[i] = out{alerts: fn(sh), err: sh.firstErr, seq: sh.errSeq}
-			sh.firstErr, sh.errSeq = nil, 0
-		}}
-	}
-	wg.Wait()
-	var merged []Alert
-	var err error
-	errSeq := uint64(math.MaxUint64)
-	for _, o := range outs {
-		merged = append(merged, o.alerts...)
-		if o.err != nil && o.seq < errSeq {
-			err, errSeq = o.err, o.seq
+// barrier runs fn on every shard index in parallel (nil fn runs nothing) and
+// hands back the buffered ingest alerts plus fn's, merged into (grid index,
+// customer id) order, and the buffered ingest error; both buffers reset.
+// The caller holds mu exclusively.
+func (s *ShardedMonitor) barrier(fn func(shard int) []Alert) ([]Alert, error) {
+	merged := s.alerts
+	if fn != nil {
+		outs, _ := population.Map(len(s.shards), population.Options{Workers: len(s.shards)},
+			func(i int) ([]Alert, error) { return fn(i), nil })
+		for _, a := range outs {
+			merged = append(merged, a...)
 		}
 	}
 	sortAlerts(merged)
+	err := s.err
+	s.alerts, s.err = nil, nil
 	return merged, err
 }
 
@@ -227,184 +147,124 @@ func sortAlerts(alerts []Alert) {
 	})
 }
 
-// drainFn hands over a shard's buffered ingest alerts.
-func drainFn(sh *shard) []Alert {
-	a := sh.alerts
-	sh.alerts = nil
-	return a
-}
-
-// Flush is the barrier without window closing: it waits for every enqueued
-// receipt to be processed and returns the alerts they raised, merged
-// deterministically, plus the first ingest error since the last barrier.
+// Flush is the barrier without window closing: it returns the alerts raised
+// by receipts ingested since the last barrier, merged deterministically,
+// plus the first ingest error since the last barrier.
 func (s *ShardedMonitor) Flush() ([]Alert, error) {
-	if s.closed.Load() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
 		return nil, ErrClosed
 	}
-	return s.barrier(drainFn)
+	return s.barrier(nil)
 }
 
-// CloseThrough drains every shard, force-closes every tracked customer's
-// windows through grid index k (scoring silent windows as empty, exactly as
+// CloseThrough force-closes every tracked customer's windows through grid
+// index k (scoring silent windows as empty, exactly as
 // Monitor.CloseThrough), and returns all pending plus newly raised alerts in
 // (grid index, customer id) order.
 func (s *ShardedMonitor) CloseThrough(k int) ([]Alert, error) {
-	if s.closed.Load() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
 		return nil, ErrClosed
 	}
-	return s.barrier(func(sh *shard) []Alert {
-		return append(drainFn(sh), sh.mon.CloseThrough(k)...)
-	})
+	return s.barrier(func(i int) []Alert { return s.shards[i].CloseThrough(k) })
 }
 
-// EvictIdle drains every shard and applies Monitor.EvictIdle(k) on each,
-// returning the merged alerts in canonical order plus the number of
-// customers evicted across shards. A CloseThrough barrier already evicts
-// inline; this is the explicit sweep the ingestion TTL job drives.
+// EvictIdle applies Monitor.EvictIdle(k) on every shard, returning the
+// merged alerts in canonical order plus the number of customers evicted
+// across shards. A CloseThrough barrier already evicts inline; this is the
+// explicit sweep the ingestion TTL job drives.
 func (s *ShardedMonitor) EvictIdle(k int) ([]Alert, int, error) {
-	if s.closed.Load() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
 		return nil, 0, ErrClosed
 	}
-	var n atomic.Int64
-	alerts, err := s.barrier(func(sh *shard) []Alert {
-		a, evicted := sh.mon.EvictIdle(k)
-		n.Add(int64(evicted))
-		return append(drainFn(sh), a...)
+	counts := make([]int, len(s.shards))
+	alerts, err := s.barrier(func(i int) []Alert {
+		a, n := s.shards[i].EvictIdle(k)
+		counts[i] = n
+		return a
 	})
-	return alerts, int(n.Load()), err
+	n := 0
+	for _, c := range counts {
+		n += c
+	}
+	return alerts, n, err
 }
 
 // Evicted returns the cumulative number of customers dropped at the
 // retention horizon across all shards, like Monitor.Evicted.
 func (s *ShardedMonitor) Evicted() uint64 {
-	if s.closed.Load() {
-		var total uint64
-		for _, sh := range s.shards {
-			total += sh.mon.Evicted()
-		}
-		return total
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var total uint64
+	for _, m := range s.shards {
+		total += m.Evicted()
 	}
-	var total atomic.Uint64
-	var wg sync.WaitGroup
-	for _, sh := range s.shards {
-		sh := sh
-		wg.Add(1)
-		sh.ch <- shardMsg{ctl: func() {
-			total.Add(sh.mon.Evicted())
-			wg.Done()
-		}}
-	}
-	wg.Wait()
-	return total.Load()
+	return total
 }
 
-// Close drains every shard, returns any remaining buffered alerts and
-// pending error, and stops the shard goroutines. Stop all producers first;
-// Ingest/Flush/CloseThrough after Close return ErrClosed, while read-only
-// accessors (Stability, Customers, WriteSnapshot) keep working.
+// Close returns any remaining buffered alerts and pending error.
+// Ingest/Flush/CloseThrough/EvictIdle after Close return ErrClosed, while
+// the read-only accessors (Stability, Customers, WriteSnapshot, …) keep
+// working.
 func (s *ShardedMonitor) Close() ([]Alert, error) {
-	if s.closed.Swap(true) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
 		return nil, ErrClosed
 	}
-	alerts, err := s.barrier(drainFn)
-	for _, sh := range s.shards {
-		sh.ch <- shardMsg{stop: true}
-	}
-	s.done.Wait()
-	return alerts, err
+	s.closed = true
+	return s.barrier(nil)
+}
+
+// isClosed reports whether Close has run.
+func (s *ShardedMonitor) isClosed() bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.closed
 }
 
 // Stability returns the customer's last scored stability, like
-// Monitor.Stability. It synchronizes with the owning shard, so it reflects
-// every receipt enqueued before the call (by this goroutine).
+// Monitor.Stability. It reflects every receipt whose Ingest returned before
+// the call.
 func (s *ShardedMonitor) Stability(id retail.CustomerID) (value float64, gridIndex int, ok bool) {
-	sh := s.shards[shardIndex(id, len(s.shards))]
-	if s.closed.Load() {
-		return sh.mon.Stability(id)
-	}
-	done := make(chan struct{})
-	sh.ch <- shardMsg{ctl: func() {
-		value, gridIndex, ok = sh.mon.Stability(id)
-		close(done)
-	}}
-	<-done
-	return value, gridIndex, ok
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.shard(id).Stability(id)
 }
 
-// Stabilities answers a batch of stability queries in request order,
-// filling dst (truncated and reused when capacity suffices) with one row
-// per id — row i is exactly what Stability(ids[i]) would return, and the
-// differential serve tests pin that equivalence byte-for-byte at shards
-// {1,2,4,8}.
-//
-// Where Stability pays one control-message round trip per customer, a
-// batch pays one per *shard*: every shard goroutine receives the whole id
-// slice once and fills the disjoint subset of rows it owns (ids hash to
-// exactly one shard, so the writes cannot overlap and need no locks). Per
-// customer the work is one hash and one map lookup — no allocation, no
-// synchronization — which is what makes population-wide score sweeps a
-// fast path rather than N round trips.
+// Stabilities answers a batch of stability queries in request order under
+// one read-lock acquisition, filling dst (truncated and reused when
+// capacity suffices) with one row per id — row i is exactly what
+// Stability(ids[i]) would return, and the differential serve tests pin that
+// equivalence byte-for-byte at shards {1,2,4,8}. Per customer the work is
+// one hash and one map lookup, with no allocation.
 func (s *ShardedMonitor) Stabilities(ids []retail.CustomerID, dst []CustomerStability) []CustomerStability {
 	if cap(dst) >= len(ids) {
 		dst = dst[:len(ids)]
 	} else {
 		dst = make([]CustomerStability, len(ids))
 	}
-	n := len(s.shards)
-	if s.closed.Load() {
-		for i, id := range ids {
-			sh := s.shards[shardIndex(id, n)]
-			v, k, ok := sh.mon.Stability(id)
-			dst[i] = CustomerStability{Customer: id, Value: v, GridIndex: k, OK: ok}
-		}
-		return dst
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for i, id := range ids {
+		v, k, ok := s.shard(id).Stability(id)
+		dst[i] = CustomerStability{Customer: id, Value: v, GridIndex: k, OK: ok}
 	}
-	// The closures capture a never-reassigned copy of the slice header so
-	// the dst parameter itself stays off the heap: reassigning a captured
-	// variable would force it heap-allocated at function entry, charging
-	// the allocation-free closed path too.
-	out := dst
-	var wg sync.WaitGroup
-	for si, sh := range s.shards {
-		si, sh := si, sh
-		wg.Add(1)
-		sh.ch <- shardMsg{ctl: func() {
-			for i, id := range ids {
-				if shardIndex(id, n) != si {
-					continue
-				}
-				v, k, ok := sh.mon.Stability(id)
-				out[i] = CustomerStability{Customer: id, Value: v, GridIndex: k, OK: ok}
-			}
-			wg.Done()
-		}}
-	}
-	wg.Wait()
 	return dst
 }
 
 // Customers returns the number of customers tracked across all shards.
 func (s *ShardedMonitor) Customers() int {
-	counts := make([]int, len(s.shards))
-	if s.closed.Load() {
-		for i, sh := range s.shards {
-			counts[i] = sh.mon.Customers()
-		}
-	} else {
-		var wg sync.WaitGroup
-		for i, sh := range s.shards {
-			i, sh := i, sh
-			wg.Add(1)
-			sh.ch <- shardMsg{ctl: func() {
-				counts[i] = sh.mon.Customers()
-				wg.Done()
-			}}
-		}
-		wg.Wait()
-	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	total := 0
-	for _, c := range counts {
-		total += c
+	for _, m := range s.shards {
+		total += m.Customers()
 	}
 	return total
 }
@@ -413,44 +273,21 @@ func (s *ShardedMonitor) Customers() int {
 // Monitor.WriteSnapshot: shard count is an operational knob, not persisted
 // state, so the bytes are identical to the single-threaded monitor's for the
 // same feed and a snapshot written with S shards restores with any S'. The
-// shards are drained and held quiescent while their states stream out
-// through a k-way merge of the per-shard sorted id lists — states flow
-// straight from each shard map to the writer, with no merged intermediate
-// map, so the pause's memory overhead is one id slice per shard instead of
-// a copy of the whole population's state index. Buffered alerts are not
-// part of the snapshot — Flush before snapshotting if they must not be
-// lost across a restart.
+// states stream out under the read lock (Ingest and barriers wait) through
+// a k-way merge of the per-shard sorted id lists — states flow straight
+// from each shard map to the writer, with no merged intermediate map, so
+// the memory overhead is one id slice per shard instead of a copy of the
+// whole population's state index. Buffered alerts are not part of the
+// snapshot — Flush before snapshotting if they must not be lost across a
+// restart.
 func (s *ShardedMonitor) WriteSnapshot(w io.Writer) error {
-	if s.closed.Load() {
-		return writeShardedStates(w, s.cfg.Grid, s.shardStates())
-	}
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	release := make(chan struct{})
-	var arrived sync.WaitGroup
-	for _, sh := range s.shards {
-		arrived.Add(1)
-		sh.ch <- shardMsg{ctl: func() {
-			arrived.Done()
-			<-release
-		}}
-	}
-	// All shard goroutines are parked on release: their states are
-	// quiescent and safe to read from here until release closes.
-	arrived.Wait()
-	err := writeShardedStates(w, s.cfg.Grid, s.shardStates())
-	close(release)
-	return err
-}
-
-// shardStates collects the disjoint per-shard state maps. Callers must
-// hold all shards quiescent.
-func (s *ShardedMonitor) shardStates() []map[retail.CustomerID]*custState {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	states := make([]map[retail.CustomerID]*custState, len(s.shards))
-	for i, sh := range s.shards {
-		states[i] = sh.mon.states
+	for i, m := range s.shards {
+		states[i] = m.states
 	}
-	return states
+	return writeShardedStates(w, s.cfg.Grid, states)
 }
 
 // Watermark returns the lowest open (not yet scored) window index across
@@ -458,33 +295,11 @@ func (s *ShardedMonitor) shardStates() []map[retail.CustomerID]*custState {
 // k+1, the index replay should resume feeding from. ok is false when no
 // customers are tracked.
 func (s *ShardedMonitor) Watermark() (k int, ok bool) {
-	if s.closed.Load() {
-		for _, sh := range s.shards {
-			if sk, sok := sh.mon.Watermark(); sok && (!ok || sk < k) {
-				k, ok = sk, true
-			}
-		}
-		return k, ok
-	}
-	type minK struct {
-		k  int
-		ok bool
-	}
-	mins := make([]minK, len(s.shards))
-	var wg sync.WaitGroup
-	for i, sh := range s.shards {
-		i, sh := i, sh
-		wg.Add(1)
-		sh.ch <- shardMsg{ctl: func() {
-			k, ok := sh.mon.Watermark()
-			mins[i] = minK{k: k, ok: ok}
-			wg.Done()
-		}}
-	}
-	wg.Wait()
-	for _, m := range mins {
-		if m.ok && (!ok || m.k < k) {
-			k, ok = m.k, true
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, m := range s.shards {
+		if mk, mok := m.Watermark(); mok && (!ok || mk < k) {
+			k, ok = mk, true
 		}
 	}
 	return k, ok
@@ -499,14 +314,13 @@ func ReadShardedMonitorSnapshot(r io.Reader, cfg Config, shards int) (*ShardedMo
 	if err != nil {
 		return nil, err
 	}
-	s, err := newSharded(cfg, shards)
+	s, err := NewSharded(cfg, shards)
 	if err != nil {
 		return nil, err
 	}
 	//detlint:ignore R1 addRestored is order-insensitive and shard assignment depends only on the id hash
 	for id, st := range states {
-		s.shards[shardIndex(id, len(s.shards))].mon.addRestored(id, st)
+		s.shard(id).addRestored(id, st)
 	}
-	s.start()
 	return s, nil
 }

@@ -12,9 +12,10 @@
 // inside it. Windows with no purchases at all are scored as empty — absence
 // is the signal attrition lives in.
 //
-// Monitor is the single-threaded engine; ShardedMonitor fans the same
-// engine across customer-hash shards for multi-core ingestion with
-// identical results (see sharded.go).
+// Monitor is the single-threaded engine; ShardedMonitor partitions the
+// same engine into customer-hash shards behind one lock and scores
+// window-close barriers across the shards in parallel, with identical
+// results (see sharded.go).
 package stream
 
 import (
@@ -128,8 +129,8 @@ type custState struct {
 }
 
 // Monitor ingests receipts and emits alerts. Not safe for concurrent use;
-// ShardedMonitor wraps it with hash-partitioned parallel ingestion for
-// multi-core feeds.
+// ShardedMonitor wraps it with a lock and hash-partitioned parallel
+// barriers for multi-core feeds.
 type Monitor struct {
 	cfg    Config
 	states map[retail.CustomerID]*custState

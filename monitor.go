@@ -19,9 +19,10 @@ type (
 	MonitorConfig = stream.Config
 	// Monitor is the online attrition monitor (single-threaded).
 	Monitor = stream.Monitor
-	// ShardedMonitor is the parallel ingestion engine: receipts fan out
-	// across customer-hash shards, alerts come back at Flush/CloseThrough
-	// barriers in a deterministic order identical for every shard count.
+	// ShardedMonitor is the parallel ingestion engine: customer-hash
+	// shards behind one lock, with window-close barriers scored across the
+	// shards in parallel. Alerts come back at Flush/CloseThrough barriers
+	// in a deterministic order identical for every shard count.
 	ShardedMonitor = stream.ShardedMonitor
 	// Alert is one detection event with blamed products.
 	Alert = stream.Alert
@@ -34,21 +35,23 @@ type (
 // snapshot bytes.
 type MonitorOptions struct {
 	// Shards is the number of single-threaded shard monitors the feed is
-	// hash-partitioned across; <= 0 means GOMAXPROCS.
+	// hash-partitioned across, which is also how many goroutines score a
+	// window-close barrier; <= 0 means GOMAXPROCS.
 	Shards int
 }
 
 // NewMonitor validates cfg and returns an empty monitor.
 func NewMonitor(cfg MonitorConfig) (*Monitor, error) { return stream.New(cfg) }
 
-// NewShardedMonitor validates cfg and returns a running sharded monitor:
+// NewShardedMonitor validates cfg and returns an empty sharded monitor:
 //
 //	monitor, _ := stability.NewShardedMonitor(cfg, stability.MonitorOptions{Shards: 8})
 //	_ = monitor.Ingest(id, t, items)            // safe from many producers
 //	alerts, err := monitor.CloseThrough(k)      // barrier: deterministic batch
 //
-// Per-customer receipt order is preserved, and alerts/snapshots are
-// byte-identical to the single-threaded Monitor's for any shard count.
+// Every method is safe for concurrent use. Per-customer receipt order is
+// preserved, and alerts/snapshots are byte-identical to the
+// single-threaded Monitor's for any shard count.
 func NewShardedMonitor(cfg MonitorConfig, opts MonitorOptions) (*ShardedMonitor, error) {
 	return stream.NewSharded(cfg, opts.Shards)
 }
