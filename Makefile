@@ -31,9 +31,15 @@ COVER_FLOOR ?= 80
 PROFILE_BENCH ?= BenchmarkTrackerObserve
 PROFILE_TIME ?= 2s
 
-.PHONY: verify build test lint detlint detlint-json race stress cover bench bench-smoke bench-json bench-diff profile loadtest loadtest-evict loadtest-follow loadtest-query fault-log clean ci
+# Fuzzing budget per target for `make fuzz-smoke`. go test -fuzz runs one
+# target at a time, so the target's wall time is roughly FUZZTIME times
+# the number of Fuzz* targets, plus building every package's tests once to
+# list them (about 105s in all at 10s on 2 CPUs with a warm build cache).
+FUZZTIME ?= 10s
 
-ci: verify lint race stress cover bench-smoke loadtest loadtest-evict loadtest-follow loadtest-query fault-log ## everything .github/workflows/ci.yml runs
+.PHONY: verify build test lint detlint detlint-json race stress fuzz-smoke cover bench bench-smoke bench-json bench-diff profile loadtest loadtest-evict loadtest-follow loadtest-query fault-log clean ci
+
+ci: verify lint race stress fuzz-smoke cover bench-smoke loadtest loadtest-evict loadtest-follow loadtest-query fault-log ## everything .github/workflows/ci.yml runs
 
 verify: build test ## tier-1: go build ./... && go test ./...
 
@@ -68,6 +74,18 @@ race: ## race-detector pass over the whole module
 # fails here instead of on the next machine.
 stress: ## race-detector pass over the concurrent packages, 3 runs at -cpu=1,2,4
 	$(GO) test -race -count=3 -cpu=1,2,4 ./internal/stream/ ./internal/serve/ ./cmd/attritiond/
+
+# Every Fuzz* target in the module, each fuzzed for $(FUZZTIME). Plain
+# `go test` (tier-1) only replays the seed corpora; this target actually
+# mutates inputs. A failing input lands in the package's testdata/fuzz/
+# directory, where `go test` replays it from then on.
+fuzz-smoke: ## fuzz every Fuzz* target in the module for $(FUZZTIME) each
+	@set -e; for pkg in $$($(GO) list ./...); do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz' || true); do \
+			echo "fuzz $$pkg $$target for $(FUZZTIME)"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) $$pkg; \
+		done; \
+	done
 
 cover: ## module-wide coverage profile with a total-coverage floor
 	$(GO) test -coverprofile=$(COVER_PROFILE) ./...

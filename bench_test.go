@@ -281,8 +281,10 @@ func BenchmarkLeadTime(b *testing.B) {
 // BenchmarkMonitorIngest measures streaming throughput: receipts ingested
 // per op across a whole population replay. The "single" case is the
 // sequential Monitor baseline; the shards-N cases sweep the sharded engine
-// (hash fan-out, one goroutine per shard). On a 1-CPU container the sweep is
-// flat — judge scaling on multi-core hosts.
+// (synchronous hash-partitioned ingest, close barriers fanned out over the
+// shards in parallel). Between barriers ingest is serial, so only the
+// barrier share scales; on a 1-CPU container the sweep is flat — judge
+// scaling on multi-core hosts.
 func BenchmarkMonitorIngest(b *testing.B) {
 	ds := sharedDataset(b)
 	grid, err := window.NewGrid(ds.Config.Start, window.Span{Months: 2})

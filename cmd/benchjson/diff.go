@@ -8,6 +8,8 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strconv"
+	"strings"
 	"text/tabwriter"
 )
 
@@ -121,26 +123,56 @@ func diffReports(w io.Writer, oldRep, newRep Report, threshold, allocsThreshold 
 			regressions++
 		}
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t\n",
-			name, fmtMetric(o.NsPerOp), fmtMetric(n.NsPerOp), nsCell,
+			n.Name, fmtMetric(o.NsPerOp), fmtMetric(n.NsPerOp), nsCell,
 			fmtMetric(o.AllocsPerOp), fmtMetric(n.AllocsPerOp), allocCell,
 			fmtMetric(throughput(o)), fmtMetric(throughput(n)), thrCell)
 	}
 	tw.Flush()
 	for _, name := range removed {
-		fmt.Fprintf(w, "only in old: %s\n", name)
+		fmt.Fprintf(w, "only in old: %s\n", oldBy[name].Name)
 	}
 	for _, name := range added {
-		fmt.Fprintf(w, "only in new: %s\n", name)
+		fmt.Fprintf(w, "only in new: %s\n", newBy[name].Name)
 	}
 	return regressions
 }
 
+// benchByName indexes a report's benchmarks by name without the
+// "-GOMAXPROCS" suffix go test appends when GOMAXPROCS > 1, so a report
+// recorded on a multi-CPU host pairs up with a 1-CPU baseline instead of
+// listing every benchmark as only in one side. Values keep their recorded
+// names for printing.
 func benchByName(rep Report) map[string]Benchmark {
+	suffix := procsSuffix(rep)
 	by := make(map[string]Benchmark, len(rep.Benchmarks))
 	for _, b := range rep.Benchmarks {
-		by[b.Name] = b
+		by[strings.TrimSuffix(b.Name, suffix)] = b
 	}
 	return by
+}
+
+// procsSuffix returns the "-N" (N >= 2) suffix every benchmark name in the
+// report ends with, or "" when they do not all share one. A 1-CPU report
+// carries no suffix, and a sub-benchmark's own numeric tail (shards-8,
+// batch-128) differs across the suite, so only the GOMAXPROCS tail go test
+// appends to every name is ever stripped.
+func procsSuffix(rep Report) string {
+	suffix := ""
+	for i, b := range rep.Benchmarks {
+		j := strings.LastIndexByte(b.Name, '-')
+		if j < 0 {
+			return ""
+		}
+		if n, err := strconv.Atoi(b.Name[j+1:]); err != nil || n < 2 {
+			return ""
+		}
+		if i == 0 {
+			suffix = b.Name[j:]
+		} else if b.Name[j:] != suffix {
+			return ""
+		}
+	}
+	return suffix
 }
 
 // deltaCell renders the relative change between two optional metrics and

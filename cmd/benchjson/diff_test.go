@@ -170,3 +170,32 @@ func TestDiffUsageErrors(t *testing.T) {
 		t.Fatalf("missing files: exit code = %d", code)
 	}
 }
+
+// TestDiffPairsAcrossGOMAXPROCS: go test appends "-N" to every bench name
+// when GOMAXPROCS = N > 1, so a report from a 2-CPU host must still pair
+// with a 1-CPU baseline (and a sub-benchmark's own numeric tail, such as
+// shards-8, must not be mistaken for that suffix).
+func TestDiffPairsAcrossGOMAXPROCS(t *testing.T) {
+	dir := t.TempDir()
+	oldPath := writeReport(t, dir, "old.json", Report{Benchmarks: []Benchmark{
+		bench("BenchmarkMonitorIngest/single", 1000, 10),
+		bench("BenchmarkMonitorIngest/shards-8", 1000, 10),
+	}})
+	newPath := writeReport(t, dir, "new.json", Report{Benchmarks: []Benchmark{
+		bench("BenchmarkMonitorIngest/single-2", 500, 2),
+		bench("BenchmarkMonitorIngest/shards-8-2", 2000, 10),
+	}})
+	var out, errOut bytes.Buffer
+	if code := runDiff([]string{oldPath, newPath}, &out, &errOut); code != 1 {
+		t.Fatalf("exit code = %d, want 1 (shards-8 doubled); stdout = %s", code, out.String())
+	}
+	got := out.String()
+	if strings.Contains(got, "only in") {
+		t.Errorf("benchmarks left unpaired across GOMAXPROCS:\n%s", got)
+	}
+	for _, want := range []string{"BenchmarkMonitorIngest/single-2", "-50.0%", "BenchmarkMonitorIngest/shards-8-2", "+100.0%"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("diff output missing %q:\n%s", want, got)
+		}
+	}
+}

@@ -143,6 +143,11 @@ func ReadTrackerSnapshot(r io.Reader) (*Tracker, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: read windows: %w", err)
 	}
+	if windows > math.MaxInt32 {
+		// W is an int32 column; a larger count would wrap negative and
+		// corrupt every significance exponent 2c−W.
+		return nil, fmt.Errorf("core: implausible window count %d", windows)
+	}
 	t.windows = int32(windows)
 	if t.started, err = getB(); err != nil {
 		return nil, fmt.Errorf("core: read started: %w", err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"strings"
@@ -120,5 +121,18 @@ func TestReadTrackerSnapshotErrors(t *testing.T) {
 	}
 	if _, err := ReadTrackerSnapshot(bytes.NewReader(bad)); err == nil {
 		t.Fatal("zero alpha accepted")
+	}
+	// A window count past int32 would wrap W negative. The count sits
+	// after magic (4), alpha (8), policy (1) and maxBlame (1 byte for 0).
+	withWindows := func(w uint64) []byte {
+		var v [binary.MaxVarintLen64]byte
+		n := binary.PutUvarint(v[:], w)
+		return append(append(append([]byte{}, full[:14]...), v[:n]...), full[15:]...)
+	}
+	if _, err := ReadTrackerSnapshot(bytes.NewReader(withWindows(math.MaxInt32))); err != nil {
+		t.Fatalf("window count at the int32 limit rejected: %v", err)
+	}
+	if _, err := ReadTrackerSnapshot(bytes.NewReader(withWindows(math.MaxInt32 + 1))); err == nil {
+		t.Fatal("window count past int32 accepted")
 	}
 }

@@ -43,6 +43,14 @@ type Tracker struct {
 
 	prevStability float64
 	prevDefined   bool
+
+	// lastMaxC, lastW and lastDen are the pre-fold scan state (maxC, W and
+	// the denominator Σ S(p,k)) of the latest observed window, kept so
+	// ExplainLast can build its blame list after the fold. lastDen is 0
+	// when that window was undefined (or nothing has been observed).
+	lastMaxC int32
+	lastW    int32
+	lastDen  float64
 }
 
 // Blame attributes part of a stability decrease to one missing item.
@@ -153,18 +161,37 @@ func (t *Tracker) termSlow(d int32) float64 {
 // Observe feeds the next window's item set uk (must be a normalized basket)
 // and returns the window's Result. Stability is computed against the state
 // before this window (c and l count windows v < k), then the window is
-// folded into the counts.
+// folded into the counts. The Missing and NewItems lists are built for
+// every window; callers that need the blame list only for some windows
+// (the monitor explains alerts only) use ObserveStability and ExplainLast.
 func (t *Tracker) Observe(items retail.Basket) Result {
-	res := t.observe(items, true)
-	return res
+	return t.observe(items, true)
 }
 
 // ObserveStability is Observe without building blame and new-item lists —
 // the hot path for population-scale scoring. Results carry empty Missing
 // and NewItems, and the steady state (no first-seen items in the window)
-// performs no allocations.
+// performs no allocations. The window's Missing list stays available
+// through ExplainLast until the next observation.
 func (t *Tracker) ObserveStability(items retail.Basket) Result {
 	return t.observe(items, false)
+}
+
+// ExplainLast returns exactly the Missing list Observe would have returned
+// for the most recently observed window. items must be that window's basket
+// (any other basket breaks the contract and may panic). It returns nil when
+// that window was undefined, and before the first observation or after
+// Reset. The answer is bit-identical to the eager one because fold only
+// touches basket items: every missing item still has its pre-fold count,
+// and the scan recorded the pre-fold maxC, W and denominator. It explains
+// only the latest window, so call it before the next Observe,
+// ObserveStability or Reset. The returned slice is freshly allocated and
+// owned by the caller.
+func (t *Tracker) ExplainLast(items retail.Basket) []Blame {
+	if t.lastDen == 0 {
+		return nil
+	}
+	return t.blame(items, t.lastMaxC, t.lastW, t.lastDen)
 }
 
 func (t *Tracker) observe(items retail.Basket, explain bool) Result {
@@ -186,6 +213,7 @@ func (t *Tracker) observe(items retail.Basket, explain bool) Result {
 	// keeps the non-associative float sums bit-identical across runs,
 	// restores and worker counts. The repertoire and the basket are both
 	// sorted, so membership is a sorted merge, not a lookup per item.
+	t.lastDen = 0
 	if len(t.items) > 0 {
 		maxC := t.maxCount
 		var num, den float64
@@ -207,8 +235,9 @@ func (t *Tracker) observe(items retail.Basket, explain bool) Result {
 			if res.Stability > 1 {
 				res.Stability = 1 // guard against rounding
 			}
+			t.lastMaxC, t.lastW, t.lastDen = maxC, t.windows, den
 			if explain {
-				res.Missing = t.blame(items, maxC, den)
+				res.Missing = t.ExplainLast(items)
 			}
 		}
 	}
@@ -309,9 +338,12 @@ func (t *Tracker) fold(items retail.Basket) {
 	}
 }
 
-// blame builds the sorted missing-item list for the current window with the
-// same repertoire × basket merge the stability scan uses.
-func (t *Tracker) blame(items retail.Basket, maxC int32, den float64) []Blame {
+// blame builds the sorted missing-item list of a window from its basket and
+// its pre-fold scan state (maxC, W, den), with the same repertoire × basket
+// merge the stability scan uses. It may run before or after the window's
+// fold: the fold only bumps or splices in basket items, which the merge
+// skips, so every missing item reads the count the scan saw.
+func (t *Tracker) blame(items retail.Basket, maxC, w int32, den float64) []Blame {
 	missing := make([]Blame, 0, 8)
 	j := 0
 	for i, p := range t.items {
@@ -323,7 +355,7 @@ func (t *Tracker) blame(items retail.Basket, maxC int32, den float64) []Blame {
 			continue
 		}
 		c := t.counts[i]
-		net := int(2*c - t.windows)
+		net := int(2*c - w)
 		missing = append(missing, Blame{
 			Item:            p,
 			Net:             net,
@@ -377,4 +409,5 @@ func (t *Tracker) Reset() {
 	t.seq = 0
 	t.prevStability = 0
 	t.prevDefined = false
+	t.lastDen = 0
 }

@@ -9,10 +9,10 @@ package stream
 import "testing"
 
 // TestStabilitiesAllocFreePerCustomer pins the batch query cost model:
-// with a recycled dst, the closed (direct-read) path performs zero
-// allocations regardless of batch size, and the open (shard-fanned) path
-// performs a constant number — the per-shard control closures and the
-// barrier — that does not grow with the number of customers queried.
+// with a recycled dst, the sharded monitor reads the shards directly under
+// its read lock, so the open path performs a constant number of allocations
+// that does not grow with the number of customers queried, and the closed
+// path and the sequential monitor perform none.
 func TestStabilitiesAllocFreePerCustomer(t *testing.T) {
 	feed := randomFeed(t, 5, 64, 1200)
 	ids := queryIDs(feed)

@@ -17,7 +17,7 @@ import (
 // active span never reach maxGap windows), then silent forever — the shape
 // the retention horizon is designed for. Returns the time-sorted feed and
 // each customer's last active window.
-func attritionFeed(t *testing.T, seed int64, customers, maxWindow, maxGap int) ([]feedEvent, map[retail.CustomerID]int) {
+func attritionFeed(t testing.TB, seed int64, customers, maxWindow, maxGap int) ([]feedEvent, map[retail.CustomerID]int) {
 	t.Helper()
 	g := testGrid(t)
 	r := rand.New(rand.NewSource(seed))

@@ -256,12 +256,21 @@ func readMonitorStates(r io.Reader, cfg Config) (map[retail.CustomerID]*custStat
 	if count > maxCustomers {
 		return nil, fmt.Errorf("stream: implausible customer count %d", count)
 	}
-	states := make(map[retail.CustomerID]*custState, count)
+	// Pre-size the map for plausible populations only; a huge claimed count
+	// grows the map record by record, so a corrupt header can't balloon.
+	states := make(map[retail.CustomerID]*custState, min(count, 1<<16))
+	prevID := uint64(0)
 	for i := uint64(0); i < count; i++ {
 		id, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("stream: read customer id: %w", err)
 		}
+		if i > 0 && id <= prevID {
+			// Records are strictly ascending by id; a repeat would silently
+			// collapse two records into one customer.
+			return nil, fmt.Errorf("stream: customer id %d out of order after %d", id, prevID)
+		}
+		prevID = id
 		openK, err := binary.ReadVarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("stream: read openK: %w", err)
@@ -295,18 +304,23 @@ func readMonitorStates(r io.Reader, cfg Config) (map[retail.CustomerID]*custStat
 		if pendingCount > maxItems {
 			return nil, fmt.Errorf("stream: implausible pending size %d", pendingCount)
 		}
-		pending := make(retail.Basket, pendingCount)
+		pending := make(retail.Basket, 0, min(pendingCount, 1<<10))
 		prev := uint64(0)
-		for j := range pending {
+		for j := uint64(0); j < pendingCount; j++ {
 			d, err := binary.ReadUvarint(br)
 			if err != nil {
 				return nil, fmt.Errorf("stream: read pending item: %w", err)
+			}
+			if d == 0 && j > 0 {
+				// The pending basket is normalized (strictly ascending); a
+				// zero delta would duplicate an item.
+				return nil, fmt.Errorf("stream: duplicate pending item %d", prev)
 			}
 			prev += d
 			if prev == 0 || prev > math.MaxUint32 {
 				return nil, fmt.Errorf("stream: pending item %d out of range", prev)
 			}
-			pending[j] = retail.ItemID(prev)
+			pending = append(pending, retail.ItemID(prev))
 		}
 		tracker, err := core.ReadTrackerSnapshot(br)
 		if err != nil {

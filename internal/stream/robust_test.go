@@ -17,7 +17,7 @@ import (
 
 // snapshotBytes builds a small but structurally complete SMN1 snapshot:
 // several customers, scored history, and a non-empty pending basket.
-func snapshotBytes(t *testing.T) []byte {
+func snapshotBytes(t testing.TB) []byte {
 	t.Helper()
 	g := testGrid(t)
 	m, err := New(testConfig(t, 0.7))
@@ -122,6 +122,46 @@ func TestSnapshotPreRetentionCompat(t *testing.T) {
 	}
 	if st.lastStability != 0.25 || !st.lastDefined || !st.scored || st.lastScoredK != lastScoredK {
 		t.Fatalf("restored state mangled: %+v", st)
+	}
+}
+
+// TestSnapshotRejectsNonCanonicalRecords: a repeated (or out-of-order)
+// customer id and a pending basket with a repeated item are corruption —
+// restoring them would silently collapse two records into one customer or
+// feed the tracker a non-normalized basket — so the reader rejects both.
+func TestSnapshotRejectsNonCanonicalRecords(t *testing.T) {
+	cfg := testConfig(t, 0.7)
+	tr, err := core.NewTracker(cfg.Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode := func(ids []retail.CustomerID, pending retail.Basket) []byte {
+		var buf bytes.Buffer
+		sw, err := newSnapshotWriter(&buf, cfg.Grid, len(ids))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range ids {
+			if err := sw.writeState(id, &custState{tracker: tr, pending: pending}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sw.flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if _, err := ReadMonitorSnapshot(bytes.NewReader(encode([]retail.CustomerID{3, 9}, retail.Basket{2, 5})), cfg); err != nil {
+		t.Fatalf("canonical snapshot rejected: %v", err)
+	}
+	for name, snap := range map[string][]byte{
+		"repeated id":    encode([]retail.CustomerID{3, 3}, nil),
+		"descending ids": encode([]retail.CustomerID{9, 3}, nil),
+		"repeated item":  encode([]retail.CustomerID{3}, retail.Basket{5, 5}),
+	} {
+		if _, err := ReadMonitorSnapshot(bytes.NewReader(snap), cfg); err == nil {
+			t.Errorf("%s: snapshot accepted", name)
+		}
 	}
 }
 

@@ -23,7 +23,7 @@ type feedEvent struct {
 // randomFeed builds a time-sorted multi-customer feed over roughly
 // maxWindows grid windows. Customer ids are deliberately spread out so they
 // land on different shards under FNV-1a.
-func randomFeed(t *testing.T, seed int64, customers, events int) []feedEvent {
+func randomFeed(t testing.TB, seed int64, customers, events int) []feedEvent {
 	t.Helper()
 	g := testGrid(t)
 	r := rand.New(rand.NewSource(seed))
@@ -82,6 +82,12 @@ func replaySingle(t *testing.T, cfg Config, feed []feedEvent, lastK int) (batche
 	if err != nil {
 		t.Fatal(err)
 	}
+	return replayMonitor(t, m, feed, lastK), m
+}
+
+// replayMonitor is replaySingle's replay on a caller-built monitor.
+func replayMonitor(t *testing.T, m *Monitor, feed []feedEvent, lastK int) (batches [][]Alert) {
+	t.Helper()
 	var pending []Alert
 	flush := func(closeK int) {
 		pending = append(pending, m.CloseThrough(closeK)...)
@@ -91,7 +97,7 @@ func replaySingle(t *testing.T, cfg Config, feed []feedEvent, lastK int) (batche
 	}
 	prevK := 0
 	for _, ev := range feed {
-		if k := cfg.Grid.Index(ev.t); k > prevK {
+		if k := m.cfg.Grid.Index(ev.t); k > prevK {
 			flush(k - 1)
 			prevK = k
 		}
@@ -102,7 +108,7 @@ func replaySingle(t *testing.T, cfg Config, feed []feedEvent, lastK int) (batche
 		pending = append(pending, a...)
 	}
 	flush(lastK)
-	return batches, m
+	return batches
 }
 
 // replaySharded is the same replay through a ShardedMonitor.
@@ -397,7 +403,8 @@ func TestShardedFlushBarrier(t *testing.T) {
 	}
 	full := retail.NewBasket([]retail.ItemID{1, 2, 3, 4})
 	// Four healthy windows, then erosion; ingesting window 5 closes window 4
-	// inside the shard goroutine, so the alert sits in the shard buffer.
+	// inside Ingest, so the alert waits in the monitor's buffer for the next
+	// barrier.
 	for k := 0; k < 4; k++ {
 		if err := s.Ingest(7, at(g, k, 3), full); err != nil {
 			t.Fatal(err)
@@ -591,8 +598,8 @@ func TestShardedClosed(t *testing.T) {
 }
 
 // TestShardedConcurrentSnapshots: WriteSnapshot is safe (and identical)
-// from many goroutines at once — the stop-the-world pauses must serialize,
-// not interleave into a shard-park deadlock. Run with -race.
+// from many goroutines at once — concurrent writers share the read lock
+// and must each stream the same bytes. Run with -race.
 func TestShardedConcurrentSnapshots(t *testing.T) {
 	cfg := testConfig(t, 0.7)
 	feed := randomFeed(t, 3, 6, 80)
@@ -635,7 +642,7 @@ func TestShardedConcurrentSnapshots(t *testing.T) {
 }
 
 // TestShardedDefaultsAndValidation: shards <= 0 resolves to GOMAXPROCS, and
-// config validation runs before any goroutine starts.
+// an invalid config is rejected by both constructors.
 func TestShardedDefaultsAndValidation(t *testing.T) {
 	cfg := testConfig(t, 0.5)
 	s, err := NewSharded(cfg, 0)

@@ -157,7 +157,9 @@ func New(cfg Config) (*Monitor, error) {
 }
 
 // OnScored registers a hook receiving every closed window in scoring
-// order. Pass nil to remove.
+// order. Pass nil to remove. Scored.Result carries the full Missing and
+// NewItems lists, so while a hook is set every window is scored with the
+// eager Tracker.Observe; without one, blame is built for alerts only.
 func (m *Monitor) OnScored(fn func(Scored)) { m.scoredHook = fn }
 
 // Customers returns the number of customers currently tracked.
@@ -231,14 +233,20 @@ func (m *Monitor) closeThrough(id retail.CustomerID, st *custState, k int) []Ale
 	}
 	var alerts []Alert
 	for st.openK <= k {
-		res := st.tracker.Observe(st.pending)
-		st.pending = st.pending[:0] // Observe retains nothing; keep the buffer
+		// Score first, explain on alert: the blame list is built only for
+		// the windows toAlert accepts. The OnScored hook exposes the full
+		// Result (Missing, NewItems), so it keeps the eager Observe.
+		var res core.Result
 		if m.scoredHook != nil {
+			res = st.tracker.Observe(st.pending)
 			m.scoredHook(Scored{Customer: id, GridIndex: st.openK, Result: res})
+		} else {
+			res = st.tracker.ObserveStability(st.pending)
 		}
 		if a, ok := m.toAlert(id, st, res); ok {
 			alerts = append(alerts, a)
 		}
+		st.pending = st.pending[:0] // the tracker retains nothing; keep the buffer
 		st.lastStability, st.lastDefined = res.Stability, res.Defined
 		st.lastScoredK = st.openK
 		st.scored = true
@@ -247,6 +255,8 @@ func (m *Monitor) closeThrough(id retail.CustomerID, st *custState, k int) []Ale
 	return alerts
 }
 
+// toAlert applies the alert rule (definedness, warm-up, β) to the window
+// just scored from st.pending, and explains the accepted ones.
 func (m *Monitor) toAlert(id retail.CustomerID, st *custState, res core.Result) (Alert, bool) {
 	if !res.Defined && !m.cfg.AlertOnUndefined {
 		return Alert{}, false
@@ -261,6 +271,9 @@ func (m *Monitor) toAlert(id retail.CustomerID, st *custState, res core.Result) 
 	}
 	start, end := m.cfg.Grid.Bounds(st.openK)
 	blame := res.Missing
+	if m.scoredHook == nil {
+		blame = st.tracker.ExplainLast(st.pending)
+	}
 	if m.cfg.TopJ > 0 && len(blame) > m.cfg.TopJ {
 		blame = blame[:m.cfg.TopJ]
 	}

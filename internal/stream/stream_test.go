@@ -13,7 +13,7 @@ import (
 	"github.com/gautrais/stability/internal/window"
 )
 
-func testGrid(t *testing.T) window.Grid {
+func testGrid(t testing.TB) window.Grid {
 	t.Helper()
 	g, err := window.NewGrid(time.Date(2012, time.May, 1, 0, 0, 0, 0, time.UTC), window.Span{Months: 2})
 	if err != nil {
@@ -22,7 +22,7 @@ func testGrid(t *testing.T) window.Grid {
 	return g
 }
 
-func testConfig(t *testing.T, beta float64) Config {
+func testConfig(t testing.TB, beta float64) Config {
 	return Config{Grid: testGrid(t), Model: core.Options{Alpha: 2}, Beta: beta, TopJ: 3}
 }
 
